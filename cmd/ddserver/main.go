@@ -131,7 +131,30 @@ func main() {
 	}
 	log.Printf("ddserver listening on %s (α=%g, mapping=%s, %d windows × %v)",
 		cfg.Addr, cfg.Alpha, cfg.MappingName, cfg.Windows, cfg.Interval)
-	if err := http.ListenAndServe(cfg.Addr, srv.Handler()); err != nil {
+	if err := newHTTPServer(cfg.Addr, srv.Handler()).ListenAndServe(); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// Listener timeouts, fixed rather than flags. The header timeout stops
+// a client that trickles its request line and headers from holding a
+// connection; the read timeout bounds a whole request, leaving room for
+// a maximal 1 MiB body over a slow link; the idle timeout reaps
+// keep-alive connections agents leave open between intervals.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server listening on addr with the
+// listener timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

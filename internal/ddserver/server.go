@@ -27,11 +27,10 @@
 package ddserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -42,11 +41,6 @@ import (
 	"github.com/ddsketch-go/ddsketch/mapping"
 	"github.com/ddsketch-go/ddsketch/registry"
 )
-
-// maxIngestBytes bounds the size of one POSTed payload. A DDSketch with
-// thousands of buckets encodes to a few tens of kilobytes; a megabyte is
-// far beyond any legitimate sketch or value batch.
-const maxIngestBytes = 1 << 20
 
 // Config collects the tunables of the aggregation service.
 type Config struct {
@@ -365,30 +359,6 @@ func methodNotAllowed(w http.ResponseWriter, allow string) {
 	writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s required", allow))
 }
 
-// readBody reads a POST body enforcing maxIngestBytes through
-// http.MaxBytesReader — which, unlike a bare LimitReader, also stops the
-// server from draining the rest of an oversized upload — writing the
-// error response itself and returning ok=false when the request is
-// unusable.
-func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("payload exceeds %d bytes", maxIngestBytes))
-			return nil, false
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	return body, true
-}
-
 // handleIngest accepts a binary-encoded sketch (the output of Encode or
 // EncodeAs on an agent, in any registered wire format) and merges it
 // into the live layer.
@@ -400,10 +370,14 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 // type falls back to the -wire-format setting — "auto" (the default)
 // sniffs the payload's leading bytes, a codec name pins the format.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	buf, ok := readBody(w, r)
 	if !ok {
 		return
 	}
+	// Both codecs decode into fresh stores and the merge copies bins, so
+	// nothing keeps a slice of the pooled body once this handler returns.
+	defer bodyBufs.put(buf)
+	body := *buf
 	codec, status, err := s.ingestCodec(r.Header.Get("Content-Type"), body)
 	if err != nil {
 		writeError(w, status, err)
@@ -553,35 +527,37 @@ func exportCodec(r *http.Request) (ddsketch.Codec, int, error) {
 // where it is admission-gated, budget-evicted, and queryable through
 // GET /summary?filter=… .
 func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	buf, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	payload := string(body)
-	key := r.URL.Query().Get("key")
+	defer bodyBufs.put(buf)
+	payload := *buf
+	var key string
+	if r.URL.RawQuery != "" {
+		key = r.URL.Query().Get("key")
+	}
 	if key == "" {
 		// Key in the body: a first line "key=<label set>", values after.
-		if rest, found := strings.CutPrefix(payload, "key="); found {
-			key, payload, _ = strings.Cut(rest, "\n")
+		if rest, found := bytes.CutPrefix(payload, []byte("key=")); found {
+			var line []byte
+			line, payload, _ = bytes.Cut(rest, []byte("\n"))
 			// A CRLF client must name the same series as an LF client:
 			// the trailing \r is line framing, not part of the label set.
-			key = strings.TrimSuffix(key, "\r")
+			key = string(bytes.TrimSuffix(line, []byte("\r")))
 		}
 	}
-	fields := strings.Fields(payload)
-	values := make([]float64, 0, len(fields))
-	for _, field := range fields {
-		v, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parsing %q: %w", field, err))
-			return
-		}
-		if math.IsNaN(v) || math.Abs(v) > s.maxIndexable {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("value %q: %w", field, ddsketch.ErrValueOutOfRange))
-			return
-		}
-		values = append(values, v)
+	// Pooling the batch is safe because both AddBatch implementations
+	// below (ddsketch.Sharded, behind the aggregate, and
+	// registry.SketchMap) ingest synchronously and keep no reference to
+	// the values slice once they return.
+	vals := valueBufs.get()
+	defer valueBufs.put(vals)
+	values, err := parseValues(*vals, payload, s.maxIndexable)
+	*vals = values
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if key != "" {
 		ls, err := registry.ParseLabelSet(key)
@@ -609,7 +585,9 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.valuesIngested.Add(int64(len(values)))
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": len(values)})
+	writeJSON(w, http.StatusOK, struct {
+		Accepted int `json:"accepted"`
+	}{len(values)})
 }
 
 // quantileResult is one entry of a /quantile response.
