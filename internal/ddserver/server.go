@@ -376,8 +376,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Both codecs decode into fresh stores and the merge copies bins, so
 	// nothing keeps a slice of the pooled body once this handler returns.
-	defer bodyBufs.put(buf)
-	body := *buf
+	defer putBody(buf)
+	body := buf.Bytes()
 	codec, status, err := s.ingestCodec(r.Header.Get("Content-Type"), body)
 	if err != nil {
 		writeError(w, status, err)
@@ -531,8 +531,8 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer bodyBufs.put(buf)
-	payload := *buf
+	defer putBody(buf)
+	payload := buf.Bytes()
 	var key string
 	if r.URL.RawQuery != "" {
 		key = r.URL.Query().Get("key")
@@ -551,8 +551,8 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	// below (ddsketch.Sharded, behind the aggregate, and
 	// registry.SketchMap) ingest synchronously and keep no reference to
 	// the values slice once they return.
-	vals := valueBufs.get()
-	defer valueBufs.put(vals)
+	vals := valueBufs.Get().(*[]float64)
+	defer putValues(vals)
 	values, err := parseValues(*vals, payload, s.maxIndexable)
 	*vals = values
 	if err != nil {

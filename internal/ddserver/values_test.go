@@ -223,16 +223,18 @@ func TestIngestPooledBodyNotRetained(t *testing.T) {
 				if rec := serve(h, http.MethodPost, "/ingest", codec.ContentType(), firstBytes); rec.Code != http.StatusAccepted {
 					t.Fatalf("first /ingest: status %d: %s", rec.Code, rec.Body)
 				}
-				buf := bodyBufs.get()
-				if cap(*buf) < len(firstBytes) || !bytes.Equal((*buf)[:len(firstBytes)], firstBytes) {
-					bodyBufs.put(buf)
+				buf := bodyBufs.Get().(*bytes.Buffer)
+				// The pooled buffer is Reset, so its whole backing array,
+				// first body included, is spare capacity.
+				scribble := buf.AvailableBuffer()[:buf.Cap()]
+				if len(scribble) < len(firstBytes) || !bytes.Equal(scribble[:len(firstBytes)], firstBytes) {
+					putBody(buf)
 					continue
 				}
-				scribble := (*buf)[:cap(*buf)]
 				for i := range scribble {
 					scribble[i] = 0xff
 				}
-				bodyBufs.put(buf)
+				putBody(buf)
 				if rec := serve(h, http.MethodPost, "/ingest", codec.ContentType(), secondBytes); rec.Code != http.StatusAccepted {
 					t.Fatalf("second /ingest: status %d: %s", rec.Code, rec.Body)
 				}
@@ -260,16 +262,16 @@ func slicesEqualBits(a, b []float64) bool {
 // maxPooledCaps drains up to n entries from each pool and reports the
 // largest capacity found, putting the entries back.
 func maxPooledCaps(n int) (body, values int) {
-	var bodies []*[]byte
+	var bodies []*bytes.Buffer
 	var batches []*[]float64
 	for i := 0; i < n; i++ {
-		b, v := bodyBufs.get(), valueBufs.get()
-		body, values = max(body, cap(*b)), max(values, cap(*v))
+		b, v := bodyBufs.Get().(*bytes.Buffer), valueBufs.Get().(*[]float64)
+		body, values = max(body, b.Cap()), max(values, cap(*v))
 		bodies, batches = append(bodies, b), append(batches, v)
 	}
 	for i := range bodies {
-		bodyBufs.put(bodies[i])
-		valueBufs.put(batches[i])
+		bodyBufs.Put(bodies[i])
+		valueBufs.Put(batches[i])
 	}
 	return body, values
 }
@@ -296,6 +298,25 @@ func TestValuesPoolDropsOversizedBuffers(t *testing.T) {
 	}
 	if valuesCap > maxPooledValues {
 		t.Errorf("pool kept a %d-value batch, cap is %d", valuesCap, maxPooledValues)
+	}
+}
+
+// TestReadBodyPresizeCapped: Content-Length is only the client's word.
+// A request that declares maxIngestBytes but sends a few bytes must not
+// get a buffer sized to the declaration.
+func TestReadBodyPresizeCapped(t *testing.T) {
+	req := httptest.NewRequest(http.MethodPost, "/values", strings.NewReader("1 2 3"))
+	req.ContentLength = maxIngestBytes
+	body, ok := readBody(httptest.NewRecorder(), req)
+	if !ok {
+		t.Fatal("readBody refused a short body")
+	}
+	defer putBody(body)
+	if got := body.String(); got != "1 2 3" {
+		t.Fatalf("body %q, want %q", got, "1 2 3")
+	}
+	if body.Cap() > maxPooledBody {
+		t.Errorf("declared length %d gave a %d-byte buffer, cap is %d", maxIngestBytes, body.Cap(), maxPooledBody)
 	}
 }
 
