@@ -389,13 +389,6 @@ func ddEncodeStore(st store.Store) ([]byte, error) {
 
 // --- decoding ---------------------------------------------------------
 
-// ddBin is a validated (index, count) pair collected during store
-// decoding, before any DenseStore allocation.
-type ddBin struct {
-	index int
-	count float64
-}
-
 // Decode reconstructs a sketch from a sketches-go DDSketch message.
 // Malformed, truncated, or hostile payloads fail with an error wrapping
 // ErrInvalidEncoding; valid payloads from any conforming encoder are
@@ -405,8 +398,8 @@ func (dataDogCodec) Decode(data []byte) (*DDSketch, error) {
 	var (
 		m              mapping.IndexMapping
 		indexOffset    int
-		positiveBins   []ddBin
-		negativeBins   []ddBin
+		positiveRange  ddRange
+		negativeRange  ddRange
 		zeroCount      float64
 		sawMapping     bool
 		positiveFields [][]byte
@@ -459,26 +452,24 @@ func (dataDogCodec) Decode(data []byte) (*DDSketch, error) {
 		return nil, fmt.Errorf("%w: datadog: zero count %v", ErrInvalidEncoding, zeroCount)
 	}
 	// Non-contiguous encoders may split a store across repeated fields;
-	// proto semantics merge them, so bins accumulate across bodies.
+	// proto semantics merge them, so bins accumulate across bodies. Every
+	// body is checked, and each side's index range found, before either
+	// store is allocated.
 	for _, body := range positiveFields {
-		var err error
-		positiveBins, err = ddDecodeStore(body, positiveBins, indexOffset)
-		if err != nil {
+		if err := ddDecodeStore(body, indexOffset, positiveRange.include); err != nil {
 			return nil, fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
 		}
 	}
 	for _, body := range negativeFields {
-		var err error
-		negativeBins, err = ddDecodeStore(body, negativeBins, indexOffset)
-		if err != nil {
+		if err := ddDecodeStore(body, indexOffset, negativeRange.include); err != nil {
 			return nil, fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
 		}
 	}
-	positive, err := ddBuildStore(positiveBins)
+	positive, err := ddBuildStore(positiveFields, indexOffset, positiveRange)
 	if err != nil {
 		return nil, fmt.Errorf("%w: datadog: positive store: %v", ErrInvalidEncoding, err)
 	}
-	negative, err := ddBuildStore(negativeBins)
+	negative, err := ddBuildStore(negativeFields, indexOffset, negativeRange)
 	if err != nil {
 		return nil, fmt.Errorf("%w: datadog: negative store: %v", ErrInvalidEncoding, err)
 	}
@@ -563,82 +554,101 @@ func ddDecodeMapping(body []byte) (mapping.IndexMapping, int, error) {
 	return m, int(offset), nil
 }
 
-// ddDecodeStore parses one Store message body, appending validated bins
-// (shifted by -indexOffset) to dst. Counts must be finite and
-// non-negative; zero counts are skipped, as proto3 encoders emit them
-// only as contiguous-run padding. Repeated contiguousBinCounts fields
+// ddDecodeStore parses one Store message body and passes each bin with
+// a positive count, its index shifted by -indexOffset, to add. Counts
+// must be finite and non-negative; zero counts are skipped, as proto3
+// encoders emit them only as contiguous-run padding. Map entries are
+// passed in message order. Repeated contiguousBinCounts fields
 // concatenate into one run (proto packed-repeated semantics), and the
 // run's contiguousBinIndexOffset may appear anywhere in the message, so
-// contiguous bins resolve to indexes only at end of message.
-func ddDecodeStore(body []byte, dst []ddBin, indexOffset int) ([]ddBin, error) {
-	r := &ddReader{data: body}
+// the run's bins are passed after the whole message is checked, from a
+// second walk over the same bytes. Nothing is copied out of body.
+func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float64)) error {
+	r := ddReader{data: body}
 	var (
-		contiguous       []float64
+		runLen           int
 		contiguousOffset int32
 	)
 	for !r.done() {
 		num, wire, err := r.field()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch {
 		case num == ddStoreFieldBinCounts && wire == ddWireBytes:
 			entry, err := r.bytes()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			index, count, err := ddDecodeMapEntry(entry)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := ddCheckCount(count); err != nil {
-				return nil, err
+				return err
 			}
 			if count > 0 {
-				dst = append(dst, ddBin{int(index) - indexOffset, count})
+				add(int(index)-indexOffset, count)
 			}
 		case num == ddStoreFieldContiguousCounts && wire == ddWireBytes:
 			packed, err := r.bytes()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(packed)%8 != 0 {
-				return nil, fmt.Errorf("packed double run of %d bytes (need multiple of 8)", len(packed))
+				return fmt.Errorf("packed double run of %d bytes (need multiple of 8)", len(packed))
 			}
-			if len(contiguous)+len(packed)/8 > ddMaxIndexSpan {
-				return nil, fmt.Errorf("contiguous run of %d bins exceeds span limit %d",
-					len(contiguous)+len(packed)/8, ddMaxIndexSpan)
+			if runLen+len(packed)/8 > ddMaxIndexSpan {
+				return fmt.Errorf("contiguous run of %d bins exceeds span limit %d",
+					runLen+len(packed)/8, ddMaxIndexSpan)
 			}
-			for i := 0; i+8 <= len(packed); i += 8 {
-				bits := uint64(packed[i]) | uint64(packed[i+1])<<8 | uint64(packed[i+2])<<16 |
-					uint64(packed[i+3])<<24 | uint64(packed[i+4])<<32 | uint64(packed[i+5])<<40 |
-					uint64(packed[i+6])<<48 | uint64(packed[i+7])<<56
-				count := math.Float64frombits(bits)
-				if err := ddCheckCount(count); err != nil {
-					return nil, err
+			for i := 0; i < len(packed); i += 8 {
+				if err := ddCheckCount(ddPackedDouble(packed[i:])); err != nil {
+					return err
 				}
-				contiguous = append(contiguous, count)
 			}
+			runLen += len(packed) / 8
 		case num == ddStoreFieldContiguousOffset && wire == ddWireVarint:
 			u, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if contiguousOffset, err = ddUnzigzag32(u); err != nil {
-				return nil, err
+				return err
 			}
 		default:
 			if err := r.skip(wire); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	for i, count := range contiguous {
-		if count > 0 {
-			dst = append(dst, ddBin{int(contiguousOffset) + i - indexOffset, count})
+	if runLen == 0 {
+		return nil
+	}
+	index := int(contiguousOffset) - indexOffset
+	for r = (ddReader{data: body}); !r.done(); {
+		// The first walk accepted every field, so this one cannot fail.
+		num, wire, _ := r.field()
+		if num != ddStoreFieldContiguousCounts || wire != ddWireBytes {
+			_ = r.skip(wire)
+			continue
+		}
+		packed, _ := r.bytes()
+		for i := 0; i < len(packed); i += 8 {
+			if count := ddPackedDouble(packed[i:]); count > 0 {
+				add(index, count)
+			}
+			index++
 		}
 	}
-	return dst, nil
+	return nil
+}
+
+// ddPackedDouble reads the little-endian double at the start of b.
+func ddPackedDouble(b []byte) float64 {
+	return math.Float64frombits(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
+		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40 |
+		uint64(b[6])<<48 | uint64(b[7])<<56)
 }
 
 // ddDecodeMapEntry parses one binCounts map entry: {sint32 key = 1,
@@ -685,31 +695,44 @@ func ddCheckCount(count float64) error {
 	return nil
 }
 
-// ddBuildStore validates the collected bins' overall shape and builds
-// the DenseStore — validation first, so a hostile payload cannot force
-// a huge allocation before being rejected.
-func ddBuildStore(bins []ddBin) (store.Store, error) {
+// ddRange is the index range of the bins one side's store bodies hold.
+type ddRange struct {
+	lo, hi int
+	any    bool
+}
+
+func (r *ddRange) include(index int, _ float64) {
+	switch {
+	case !r.any:
+		r.lo, r.hi, r.any = index, index, true
+	case index < r.lo:
+		r.lo = index
+	case index > r.hi:
+		r.hi = index
+	}
+}
+
+// ddBuildStore checks the overall shape of one side's bins, whose
+// bodies ddDecodeStore has already accepted, and builds the DenseStore
+// — checks first and the array sized once for the whole range, so a
+// hostile payload cannot force a huge allocation before being rejected
+// and a valid one never regrows the array as its bins are added.
+func ddBuildStore(bodies [][]byte, indexOffset int, rng ddRange) (store.Store, error) {
 	st := store.NewDenseStore()
-	if len(bins) == 0 {
+	if !rng.any {
 		return st, nil
 	}
-	lo, hi := bins[0].index, bins[0].index
-	for _, b := range bins[1:] {
-		if b.index < lo {
-			lo = b.index
+	if rng.lo < -ddMaxIndexOffset || rng.hi > ddMaxIndexOffset {
+		return nil, fmt.Errorf("bucket index out of range [%d, %d]", rng.lo, rng.hi)
+	}
+	if rng.hi-rng.lo > ddMaxIndexSpan {
+		return nil, fmt.Errorf("index span [%d, %d] too wide", rng.lo, rng.hi)
+	}
+	store.Reserve(st, rng.lo, rng.hi)
+	for _, body := range bodies {
+		if err := ddDecodeStore(body, indexOffset, st.AddWithCount); err != nil {
+			return nil, err
 		}
-		if b.index > hi {
-			hi = b.index
-		}
-	}
-	if lo < -ddMaxIndexOffset || hi > ddMaxIndexOffset {
-		return nil, fmt.Errorf("bucket index out of range [%d, %d]", lo, hi)
-	}
-	if hi-lo > ddMaxIndexSpan {
-		return nil, fmt.Errorf("index span [%d, %d] too wide", lo, hi)
-	}
-	for _, b := range bins {
-		st.AddWithCount(b.index, b.count)
 	}
 	return st, nil
 }

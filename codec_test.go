@@ -3,9 +3,12 @@ package ddsketch
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/ddsketch-go/ddsketch/encoding"
+	"github.com/ddsketch-go/ddsketch/internal/datagen"
 	"github.com/ddsketch-go/ddsketch/mapping"
 	"github.com/ddsketch-go/ddsketch/store"
 )
@@ -676,5 +679,79 @@ func TestDataDogMergeWithOriginal(t *testing.T) {
 				t.Errorf("count after self-merge = %v, want %v", got, want)
 			}
 		})
+	}
+}
+
+// bytesPerRun returns the heap bytes f allocates per call, averaged
+// over n calls.
+func bytesPerRun(n int, f func()) float64 {
+	f() // warm-up: first-call allocations are not per-decode cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestDecodeAllocatesStoreOnce: decoding an agent's sketch (1,000 span
+// latencies in NewCollapsing(0.01, 2048)) sizes its bin array once in
+// either codec, instead of regrowing it while the bins are read. A
+// DenseStore array for the span is 8·(span+64) bytes; each decode may
+// allocate at most twice that plus a small constant for the sketch,
+// mapping and reader. A native payload whose last bin is invalid is
+// rejected before any bin array is allocated.
+func TestDecodeAllocatesStoreOnce(t *testing.T) {
+	const decodes = 50
+	sk, err := NewCollapsing(0.01, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.AddBatch(datagen.SpanSeeded(1000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := sk.positive.MinIndex()
+	hi, _ := sk.positive.MaxIndex()
+	span := hi - lo + 1
+	arrayBytes := float64(8 * (span + 64))
+	const overhead = 2048
+	for _, codec := range Codecs() {
+		payload, err := codec.Encode(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bytesPerRun(decodes, func() {
+			if _, err := codec.Decode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: span %d, %.0f bytes per decode", codec.Name(), span, got)
+		if limit := 2*arrayBytes + overhead; got > limit {
+			t.Errorf("%s: %.0f bytes allocated per decode, want ≤ %.0f (2 × 8·(span+64) + %d)",
+				codec.Name(), got, limit, overhead)
+		}
+	}
+
+	// Corrupt the count of the positive store's last bin: the store's
+	// encoding ends with it, and the empty negative store follows.
+	payload := sk.Encode()
+	var neg encoding.Writer
+	sk.negative.Encode(&neg)
+	var last float64
+	sk.positive.ForEach(func(_ int, count float64) bool { last = count; return true })
+	end := len(payload) - neg.Len()
+	bad := append([]byte(nil), payload[:end-len(encoding.PutVarfloat64(nil, last))]...)
+	bad = encoding.PutVarfloat64(bad, -1)
+	bad = append(bad, payload[end:]...)
+	got := bytesPerRun(decodes, func() {
+		if _, err := Decode(bad); !errors.Is(err, store.ErrInvalidBins) {
+			t.Fatalf("last bin invalid: got %v, want ErrInvalidBins", err)
+		}
+	})
+	t.Logf("native, last bin invalid: %.0f bytes per decode", got)
+	if got >= float64(8*span) {
+		t.Errorf("last bin invalid: %.0f bytes allocated per rejected decode, want < %d (no bin array)",
+			got, 8*span)
 	}
 }

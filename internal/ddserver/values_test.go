@@ -385,3 +385,44 @@ func BenchmarkServerValues(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerIngest is BenchmarkServerValues' twin for POST
+// /ingest: agent sketches of 1,000 span latencies each, built like a
+// real agent's (NewCollapsing(0.01, 2048)), alternating the native and
+// DataDog wire formats. One op is one sketch through the handler: body
+// read, decode, merge into the aggregate.
+func BenchmarkServerIngest(b *testing.B) {
+	srv, err := NewServer(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	const agents = 16
+	bodies := make([][]byte, agents)
+	ctypes := make([]string, agents)
+	for i := range bodies {
+		codec := ddsketch.NativeCodec
+		if i%2 == 1 {
+			codec = ddsketch.DataDogCodec
+		}
+		sk, err := ddsketch.NewCollapsing(0.01, 2048)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sk.AddBatch(datagen.SpanSeeded(1000, uint64(i+1))); err != nil {
+			b.Fatal(err)
+		}
+		if bodies[i], err = codec.Encode(sk); err != nil {
+			b.Fatal(err)
+		}
+		ctypes[i] = codec.ContentType()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := i % agents
+		if rec := serve(h, http.MethodPost, "/ingest", ctypes[a], bodies[a]); rec.Code != http.StatusAccepted {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}

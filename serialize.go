@@ -236,10 +236,13 @@ func decodeNative(data []byte) (*DDSketch, error) {
 		// other store type is a configuration NewSketch can never build.
 		// An epoch alone is legal on any store: the public
 		// CollapseUniformly pre-coarsens budget-less sketches in place.
-		for side, st := range map[string]store.Store{"positive": positive, "negative": negative} {
-			if _, ok := st.(*store.DenseStore); !ok {
+		for _, side := range [2]struct {
+			name string
+			st   store.Store
+		}{{"positive", positive}, {"negative", negative}} {
+			if _, ok := side.st.(*store.DenseStore); !ok {
 				return nil, fmt.Errorf("%w: uniform bin budget %d with a non-dense %s store %T",
-					ErrInvalidEncoding, uniformMaxBins, side, st)
+					ErrInvalidEncoding, uniformMaxBins, side.name, side.st)
 			}
 		}
 	}

@@ -82,6 +82,15 @@ func (d *denseBins) ensureRange(newMin, newMax int) {
 	d.offset = lo
 }
 
+// spanWith returns the number of buckets in the smallest range holding
+// both [lo, hi] and the live range.
+func (d *denseBins) spanWith(lo, hi int) int {
+	if !d.isEmpty() {
+		lo, hi = min(lo, d.minIdx), max(hi, d.maxIdx)
+	}
+	return hi - lo + 1
+}
+
 // relocateRange replaces the backing array with one of at most maxLen
 // buckets that addresses every index in [lo, hi] and re-positions the
 // live counts. Collapsing stores use it to keep the array bounded while

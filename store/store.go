@@ -168,6 +168,19 @@ const (
 // Decode reads a store previously written by Store.Encode, reconstructing
 // the original concrete type and configuration.
 func Decode(r *encoding.Reader) (Store, error) {
+	s, err := decodeHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeBins(r, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decodeHeader reads a store's type tag and configuration and returns
+// the empty store they describe.
+func decodeHeader(r *encoding.Reader) (Store, error) {
 	tag, err := r.Byte()
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding type tag: %w", err)
@@ -193,9 +206,6 @@ func Decode(r *encoding.Reader) (Store, error) {
 	default:
 		return nil, fmt.Errorf("store: type tag %d: %w", tag, ErrUnknownStore)
 	}
-	if err := decodeBins(r, s); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -212,10 +222,13 @@ func encodeBins(w *encoding.Writer, s Store) {
 	})
 }
 
-// decodeBins reads a bucket list written by encodeBins into s, validating
-// the data before touching the store so that corrupted or hostile input
-// fails with ErrInvalidBins instead of driving the store into huge
-// allocations (see the maxDecoded* limits above).
+// decodeBins reads a bucket list written by encodeBins into s. It walks
+// the list twice: first on a copy of the reader, validating every bin
+// and finding the index range, then on r itself to fill the store. The
+// store is sized once for that range in between, so corrupted or
+// hostile input fails with ErrInvalidBins before any bin array is
+// allocated (see the maxDecoded* limits above), and valid input never
+// regrows the array bin by bin.
 func decodeBins(r *encoding.Reader, s Store) error {
 	n, err := r.Uvarint()
 	if err != nil {
@@ -226,39 +239,81 @@ func decodeBins(r *encoding.Reader, s Store) error {
 	if n > uint64(r.Remaining()/2) {
 		return fmt.Errorf("%w: bin count %d exceeds input size", ErrInvalidBins, n)
 	}
-	var index, minIndex, maxIndex int64
+	if n == 0 {
+		return nil
+	}
+	scan := *r
+	minIndex, maxIndex, err := walkBins(&scan, n, func(int, float64) {})
+	if err != nil {
+		return err
+	}
+	Reserve(s, minIndex, maxIndex)
+	_, _, err = walkBins(r, n, s.AddWithCount)
+	return err
+}
+
+// walkBins reads n (index delta, count) pairs, checks each bin, passes
+// it to add, and returns the range of the indexes read.
+func walkBins(r *encoding.Reader, n uint64, add func(index int, count float64)) (minIndex, maxIndex int, err error) {
+	var index, lo, hi int64
 	for i := uint64(0); i < n; i++ {
 		delta, err := r.Varint()
 		if err != nil {
-			return fmt.Errorf("store: decoding bin %d index: %w", i, err)
+			return 0, 0, fmt.Errorf("store: decoding bin %d index: %w", i, err)
 		}
 		count, err := r.Varfloat64()
 		if err != nil {
-			return fmt.Errorf("store: decoding bin %d count: %w", i, err)
+			return 0, 0, fmt.Errorf("store: decoding bin %d count: %w", i, err)
 		}
 		index += delta
 		// The identity check also rejects indexes a 32-bit int would
 		// silently truncate, which would otherwise defeat the span bound.
 		if index > maxDecodedIndexMagnitude || index < -maxDecodedIndexMagnitude ||
 			index != int64(int(index)) {
-			return fmt.Errorf("%w: bucket index %d out of range", ErrInvalidBins, index)
+			return 0, 0, fmt.Errorf("%w: bucket index %d out of range", ErrInvalidBins, index)
 		}
 		if i == 0 {
-			minIndex, maxIndex = index, index
-		} else if index < minIndex {
-			minIndex = index
-		} else if index > maxIndex {
-			maxIndex = index
+			lo, hi = index, index
+		} else if index < lo {
+			lo = index
+		} else if index > hi {
+			hi = index
 		}
-		if maxIndex-minIndex > maxDecodedIndexSpan {
-			return fmt.Errorf("%w: index span [%d, %d] too wide", ErrInvalidBins, minIndex, maxIndex)
+		if hi-lo > maxDecodedIndexSpan {
+			return 0, 0, fmt.Errorf("%w: index span [%d, %d] too wide", ErrInvalidBins, lo, hi)
 		}
 		if math.IsNaN(count) || math.IsInf(count, 0) || count <= 0 {
-			return fmt.Errorf("%w: bin %d count %v", ErrInvalidBins, i, count)
+			return 0, 0, fmt.Errorf("%w: bin %d count %v", ErrInvalidBins, i, count)
 		}
-		s.AddWithCount(int(index), count)
+		add(int(index), count)
 	}
-	return nil
+	return int(lo), int(hi), nil
+}
+
+// Reserve sizes a dense-backed store so that every index in
+// [minIndex, maxIndex] is addressable, in one allocation, ahead of
+// filling it: a decoder that knows the range of the bins it is about
+// to add avoids regrowing the array as they arrive. A collapsing store
+// is sized only when that range and its live bins together fit its bin
+// limit; a wider range collapses as it fills, within the bounded array
+// the store keeps anyway. Other store types are left as they are. The
+// store's contents do not change.
+func Reserve(s Store, minIndex, maxIndex int) {
+	if minIndex > maxIndex {
+		return
+	}
+	switch t := s.(type) {
+	case *DenseStore:
+		t.ensureRange(minIndex, maxIndex)
+	case *CollapsingLowestDenseStore:
+		if t.spanWith(minIndex, maxIndex) <= t.maxBins {
+			t.ensureBounded(minIndex, maxIndex)
+		}
+	case *CollapsingHighestDenseStore:
+		if t.spanWith(minIndex, maxIndex) <= t.maxBins {
+			t.ensureBounded(minIndex, maxIndex)
+		}
+	}
 }
 
 // FoldPairwise re-indexes every bucket of s from index i to ⌈i/2⌉,
