@@ -413,12 +413,14 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	data := s.Encode()
 	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			data = s.Encode()
 		}
 		b.SetBytes(int64(len(data)))
 	})
 	b.Run("Decode", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ddsketch.Decode(data); err != nil {
 				b.Fatal(err)
@@ -426,11 +428,26 @@ func BenchmarkEncode(b *testing.B) {
 		}
 		b.SetBytes(int64(len(data)))
 	})
+	b.Run("DataDogDecode", func(b *testing.B) {
+		payload, err := ddsketch.DataDogCodec.Encode(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ddsketch.DataDogCodec.Decode(payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(payload)))
+	})
 	b.Run("DecodeAndMergeWith", func(b *testing.B) {
 		dst, err := ddsketch.NewCollapsing(harness.DDSketchAlpha, harness.DDSketchMaxBins)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := dst.DecodeAndMergeWith(data); err != nil {
 				b.Fatal(err)

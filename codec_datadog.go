@@ -1,6 +1,7 @@
 package ddsketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -126,16 +127,8 @@ func (dataDogCodec) Sniff(data []byte) bool {
 // uint64), deliberately distinct from the encoding package's 9-byte
 // scheme used by the native format.
 
-func ddAppendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
 func ddAppendTag(b []byte, field, wire int) []byte {
-	return ddAppendUvarint(b, uint64(field)<<3|uint64(wire))
+	return binary.AppendUvarint(b, uint64(field)<<3|uint64(wire))
 }
 
 func ddAppendDouble(b []byte, field int, v float64) []byte {
@@ -148,7 +141,7 @@ func ddAppendDouble(b []byte, field int, v float64) []byte {
 
 func ddAppendBytes(b []byte, field int, sub []byte) []byte {
 	b = ddAppendTag(b, field, ddWireBytes)
-	b = ddAppendUvarint(b, uint64(len(sub)))
+	b = binary.AppendUvarint(b, uint64(len(sub)))
 	return append(b, sub...)
 }
 
@@ -177,24 +170,24 @@ type ddReader struct {
 
 func (r *ddReader) done() bool { return r.pos >= len(r.data) }
 
+// uvarint reads a base-128 varint. binary.Uvarint reports n == 0 when
+// the input ends first, which with ten or more bytes left means ten
+// bytes that all continue, and n < 0 for a varint that does not fit a
+// uint64: -(MaxVarintLen64+1) when it runs past ten bytes, otherwise a
+// 10th byte contributing more than the top bit.
 func (r *ddReader) uvarint() (uint64, error) {
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		if r.pos >= len(r.data) {
-			return 0, fmt.Errorf("truncated varint")
-		}
-		b := r.data[r.pos]
-		r.pos++
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			// The 10th byte may only contribute the top bit of a uint64.
-			if shift == 63 && b > 1 {
-				return 0, fmt.Errorf("varint overflows uint64")
-			}
-			return v, nil
-		}
+	rest := r.data[r.pos:]
+	v, n := binary.Uvarint(rest)
+	switch {
+	case n == 0 && len(rest) < binary.MaxVarintLen64:
+		return 0, fmt.Errorf("truncated varint")
+	case n == 0 || n == -(binary.MaxVarintLen64+1):
+		return 0, fmt.Errorf("varint longer than 10 bytes")
+	case n < 0:
+		return 0, fmt.Errorf("varint overflows uint64")
 	}
-	return 0, fmt.Errorf("varint longer than 10 bytes")
+	r.pos += n
+	return v, nil
 }
 
 func (r *ddReader) fixed64() (uint64, error) {
@@ -325,7 +318,7 @@ func ddEncodeMapping(m mapping.IndexMapping) ([]byte, error) {
 	msg := ddAppendDouble(nil, ddMappingFieldGamma, m.Gamma())
 	if interpolation != ddInterpolationNone {
 		msg = ddAppendTag(msg, ddMappingFieldInterpolation, ddWireVarint)
-		msg = ddAppendUvarint(msg, uint64(interpolation))
+		msg = binary.AppendUvarint(msg, uint64(interpolation))
 	}
 	return msg, nil
 }
@@ -373,14 +366,14 @@ func ddEncodeStore(st store.Store) ([]byte, error) {
 		}
 		msg := ddAppendBytes(nil, ddStoreFieldContiguousCounts, packed)
 		msg = ddAppendTag(msg, ddStoreFieldContiguousOffset, ddWireVarint)
-		msg = ddAppendUvarint(msg, ddZigzag32(int32(lo)))
+		msg = binary.AppendUvarint(msg, ddZigzag32(int32(lo)))
 		return msg, nil
 	}
 	// Sparse: one map entry per bin, ascending.
 	var msg []byte
 	for _, b := range bins {
 		entry := ddAppendTag(nil, 1, ddWireVarint)
-		entry = ddAppendUvarint(entry, ddZigzag32(int32(b.index)))
+		entry = binary.AppendUvarint(entry, ddZigzag32(int32(b.index)))
 		entry = ddAppendDouble(entry, 2, b.count)
 		msg = ddAppendBytes(msg, ddStoreFieldBinCounts, entry)
 	}
@@ -554,18 +547,22 @@ func ddDecodeMapping(body []byte) (mapping.IndexMapping, int, error) {
 	return m, int(offset), nil
 }
 
-// ddDecodeStore parses one Store message body and passes each bin with
-// a positive count, its index shifted by -indexOffset, to add. Counts
-// must be finite and non-negative; zero counts are skipped, as proto3
-// encoders emit them only as contiguous-run padding. Map entries are
-// passed in message order. Repeated contiguousBinCounts fields
-// concatenate into one run (proto packed-repeated semantics), and the
-// run's contiguousBinIndexOffset may appear anywhere in the message, so
-// the run's bins are passed after the whole message is checked, from a
-// second walk over the same bytes. Nothing is copied out of body.
-func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float64)) error {
+// ddWalkStore checks one Store message body and passes its bins, their
+// indexes shifted by -indexOffset: each map entry with a positive count
+// to entry, in message order, then each contiguousBinCounts field to
+// run, with the index of its first slot. Counts must be finite and
+// non-negative; zero counts are skipped (proto3 encoders emit them only
+// as contiguous-run padding), and a run may hold some. Repeated
+// contiguousBinCounts fields concatenate into one run (proto
+// packed-repeated semantics), and the run's contiguousBinIndexOffset
+// may appear anywhere in the message, so the run's fields are passed
+// once the whole message is checked. The body is walked once and
+// nothing is copied out of it.
+func ddWalkStore(body []byte, indexOffset int, entry func(index int, count float64), run func(index int, packed []byte)) error {
 	r := ddReader{data: body}
 	var (
+		runBuf           [2][]byte // a run is one field, unless split
+		runs             = runBuf[:0]
 		runLen           int
 		contiguousOffset int32
 	)
@@ -576,11 +573,11 @@ func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float
 		}
 		switch {
 		case num == ddStoreFieldBinCounts && wire == ddWireBytes:
-			entry, err := r.bytes()
+			e, err := r.bytes()
 			if err != nil {
 				return err
 			}
-			index, count, err := ddDecodeMapEntry(entry)
+			index, count, err := ddDecodeMapEntry(e)
 			if err != nil {
 				return err
 			}
@@ -588,7 +585,7 @@ func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float
 				return err
 			}
 			if count > 0 {
-				add(int(index)-indexOffset, count)
+				entry(int(index)-indexOffset, count)
 			}
 		case num == ddStoreFieldContiguousCounts && wire == ddWireBytes:
 			packed, err := r.bytes()
@@ -607,6 +604,7 @@ func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float
 					return err
 				}
 			}
+			runs = append(runs, packed)
 			runLen += len(packed) / 8
 		case num == ddStoreFieldContiguousOffset && wire == ddWireVarint:
 			u, err := r.uvarint()
@@ -622,33 +620,37 @@ func ddDecodeStore(body []byte, indexOffset int, add func(index int, count float
 			}
 		}
 	}
-	if runLen == 0 {
-		return nil
-	}
 	index := int(contiguousOffset) - indexOffset
-	for r = (ddReader{data: body}); !r.done(); {
-		// The first walk accepted every field, so this one cannot fail.
-		num, wire, _ := r.field()
-		if num != ddStoreFieldContiguousCounts || wire != ddWireBytes {
-			_ = r.skip(wire)
-			continue
-		}
-		packed, _ := r.bytes()
-		for i := 0; i < len(packed); i += 8 {
-			if count := ddPackedDouble(packed[i:]); count > 0 {
-				add(index, count)
-			}
-			index++
-		}
+	for _, packed := range runs {
+		run(index, packed)
+		index += len(packed) / 8
 	}
 	return nil
 }
 
+// ddDecodeStore checks one Store message body, the first of the two
+// walks decoding takes, and passes include the index range of each map
+// entry and each contiguousBinCounts field holding a positive count.
+func ddDecodeStore(body []byte, indexOffset int, include func(lo, hi int)) error {
+	return ddWalkStore(body, indexOffset,
+		func(index int, _ float64) { include(index, index) },
+		func(index int, packed []byte) {
+			first, last := 0, len(packed)-8
+			for first <= last && !(ddPackedDouble(packed[first:]) > 0) {
+				first += 8
+			}
+			for last > first && !(ddPackedDouble(packed[last:]) > 0) {
+				last -= 8
+			}
+			if first <= last {
+				include(index+first/8, index+last/8)
+			}
+		})
+}
+
 // ddPackedDouble reads the little-endian double at the start of b.
 func ddPackedDouble(b []byte) float64 {
-	return math.Float64frombits(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40 |
-		uint64(b[6])<<48 | uint64(b[7])<<56)
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // ddDecodeMapEntry parses one binCounts map entry: {sint32 key = 1,
@@ -687,12 +689,18 @@ func ddDecodeMapEntry(entry []byte) (int32, float64, error) {
 	return key, value, nil
 }
 
-// ddCheckCount rejects the count values no encoder legitimately emits.
+// ddCheckCount rejects the count values no encoder legitimately emits:
+// NaN, infinities and negative counts fail both comparisons. The call
+// inlines; only a rejection pays for the error.
 func ddCheckCount(count float64) error {
-	if math.IsNaN(count) || math.IsInf(count, 0) || count < 0 {
-		return fmt.Errorf("bin count %v (need finite ≥ 0)", count)
+	if count >= 0 && count <= math.MaxFloat64 {
+		return nil
 	}
-	return nil
+	return ddBadCount(count)
+}
+
+func ddBadCount(count float64) error {
+	return fmt.Errorf("bin count %v (need finite ≥ 0)", count)
 }
 
 // ddRange is the index range of the bins one side's store bodies hold.
@@ -701,22 +709,21 @@ type ddRange struct {
 	any    bool
 }
 
-func (r *ddRange) include(index int, _ float64) {
-	switch {
-	case !r.any:
-		r.lo, r.hi, r.any = index, index, true
-	case index < r.lo:
-		r.lo = index
-	case index > r.hi:
-		r.hi = index
+func (r *ddRange) include(lo, hi int) {
+	if !r.any {
+		r.lo, r.hi, r.any = lo, hi, true
+		return
 	}
+	r.lo, r.hi = min(r.lo, lo), max(r.hi, hi)
 }
 
 // ddBuildStore checks the overall shape of one side's bins, whose
 // bodies ddDecodeStore has already accepted, and builds the DenseStore
 // — checks first and the array sized once for the whole range, so a
 // hostile payload cannot force a huge allocation before being rejected
-// and a valid one never regrows the array as its bins are added.
+// and a valid one never regrows the array as its bins are added. Each
+// body is then walked a second time to fill the store, its map entries
+// first and its run after, as ddWalkStore passes them.
 func ddBuildStore(bodies [][]byte, indexOffset int, rng ddRange) (store.Store, error) {
 	st := store.NewDenseStore()
 	if !rng.any {
@@ -729,8 +736,21 @@ func ddBuildStore(bodies [][]byte, indexOffset int, rng ddRange) (store.Store, e
 		return nil, fmt.Errorf("index span [%d, %d] too wide", rng.lo, rng.hi)
 	}
 	store.Reserve(st, rng.lo, rng.hi)
+	// Runs reach the store through a stack buffer of doubles, a chunk
+	// at a time, so that every chunk is one array-to-array add.
+	var chunk [256]float64
+	fill := func(index int, packed []byte) {
+		for len(packed) > 0 {
+			n := min(len(packed)/8, len(chunk))
+			for i := range chunk[:n] {
+				chunk[i] = ddPackedDouble(packed[8*i:])
+			}
+			st.AddRun(index, chunk[:n])
+			index, packed = index+n, packed[8*n:]
+		}
+	}
 	for _, body := range bodies {
-		if err := ddDecodeStore(body, indexOffset, st.AddWithCount); err != nil {
+		if err := ddWalkStore(body, indexOffset, st.AddWithCount, fill); err != nil {
 			return nil, err
 		}
 	}

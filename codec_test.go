@@ -1,6 +1,7 @@
 package ddsketch
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -682,6 +683,10 @@ func TestDataDogMergeWithOriginal(t *testing.T) {
 	}
 }
 
+// ddAppendUvarint appends a proto varint; the tests' payload builders
+// use it as the codec uses binary.AppendUvarint.
+func ddAppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
 // bytesPerRun returns the heap bytes f allocates per call, averaged
 // over n calls.
 func bytesPerRun(n int, f func()) float64 {
@@ -753,5 +758,65 @@ func TestDecodeAllocatesStoreOnce(t *testing.T) {
 	if got >= float64(8*span) {
 		t.Errorf("last bin invalid: %.0f bytes allocated per rejected decode, want < %d (no bin array)",
 			got, 8*span)
+	}
+}
+
+// TestDDReaderUvarint holds the proto varint reader, now on
+// binary.Uvarint, to the byte loop it replaced: truncated input, a
+// varint past ten bytes and a 10th byte above 1 are rejected with the
+// same error text, and every accepted varint reads the same value and
+// length.
+func TestDDReaderUvarint(t *testing.T) {
+	reference := func(data []byte) (uint64, int, string) {
+		var v uint64
+		for i, shift := 0, uint(0); shift < 64; i, shift = i+1, shift+7 {
+			if i >= len(data) {
+				return 0, 0, "truncated varint"
+			}
+			b := data[i]
+			v |= uint64(b&0x7f) << shift
+			if b < 0x80 {
+				if shift == 63 && b > 1 {
+					return 0, 0, "varint overflows uint64"
+				}
+				return v, i + 1, ""
+			}
+		}
+		return 0, 0, "varint longer than 10 bytes"
+	}
+	cont := func(n int, last ...byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xff
+		}
+		return append(b, last...)
+	}
+	inputs := [][]byte{
+		nil, {0x80}, cont(9), cont(10), cont(11), cont(9, 0x01), cont(9, 0x02),
+		cont(9, 0x7f), cont(10, 0x00), binary.AppendUvarint(nil, math.MaxUint64),
+		{0x00}, {0x7f, 0xff}, {0x96, 0x01},
+	}
+	rng := datagen.NewRNG(7)
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Uint64()%12)
+		for j := range b {
+			b[j] = byte(rng.Uint64())
+			if rng.Uint64()%4 != 0 {
+				b[j] |= 0x80
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, in := range inputs {
+		r := ddReader{data: in}
+		got, err := r.uvarint()
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		want, n, wantErr := reference(in)
+		if errText != wantErr || got != want || (err == nil && r.pos != n) {
+			t.Fatalf("% x: got %d at %d (err %q), reference %d at %d (err %q)", in, got, r.pos, errText, want, n, wantErr)
+		}
 	}
 }

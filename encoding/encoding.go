@@ -192,6 +192,11 @@ func (r *Reader) Byte() (byte, error) {
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() (uint64, error) {
+	if len(r.buf)-r.off >= MaxVarLen64 {
+		v, n := uvarintFull(r.buf[r.off:])
+		r.off += n
+		return v, nil
+	}
 	v, n, err := Uvarint64(r.buf[r.off:])
 	if err != nil {
 		return 0, fmt.Errorf("reading uvarint at offset %d: %w", r.off, err)
@@ -202,12 +207,34 @@ func (r *Reader) Uvarint() (uint64, error) {
 
 // Varint reads a zigzag signed varint.
 func (r *Reader) Varint() (int64, error) {
+	if len(r.buf)-r.off >= MaxVarLen64 {
+		u, n := uvarintFull(r.buf[r.off:])
+		r.off += n
+		return unzigzag(u), nil
+	}
 	v, n, err := Varint64(r.buf[r.off:])
 	if err != nil {
 		return 0, fmt.Errorf("reading varint at offset %d: %w", r.off, err)
 	}
 	r.off += n
 	return v, nil
+}
+
+// uvarintFull is Uvarint64 for input known to hold MaxVarLen64 bytes,
+// where decoding cannot fail. The Reader methods decode in place with
+// it whenever that much input remains, which is all but the last few
+// values of a stream; near the end they fall back to the checked
+// decoders and their errors.
+func uvarintFull(b []byte) (uint64, int) {
+	b = b[:MaxVarLen64]
+	var v uint64
+	for i, c := range b[:MaxVarLen64-1] {
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			return v, i + 1
+		}
+	}
+	return v | uint64(b[MaxVarLen64-1])<<56, MaxVarLen64
 }
 
 // Float64 reads a fixed-width little-endian double.
@@ -222,6 +249,11 @@ func (r *Reader) Float64() (float64, error) {
 
 // Varfloat64 reads a variable-width double.
 func (r *Reader) Varfloat64() (float64, error) {
+	if len(r.buf)-r.off >= MaxVarLen64 {
+		u, n := uvarintFull(r.buf[r.off:])
+		r.off += n
+		return math.Float64frombits(bits.Reverse64(u)), nil
+	}
 	v, n, err := Varfloat64(r.buf[r.off:])
 	if err != nil {
 		return 0, fmt.Errorf("reading varfloat64 at offset %d: %w", r.off, err)

@@ -1,7 +1,9 @@
 package encoding
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +237,64 @@ func TestWriterLen(t *testing.T) {
 	w.Float64(1)
 	if w.Len() != 8 {
 		t.Fatalf("Len after Float64 = %d, want 8", w.Len())
+	}
+}
+
+// TestReaderMatchesCheckedDecoders: the Reader methods, which decode in
+// place while nine bytes remain, read every prefix of a mixed stream of
+// varints exactly as the checked package-level decoders do: the same
+// values, the same offsets, and the same error at the same value.
+func TestReaderMatchesCheckedDecoders(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var stream []byte
+	for i := 0; i < 300; i++ {
+		v := rng.Uint64() >> uint(rng.Intn(64))
+		switch i % 3 {
+		case 0:
+			stream = PutUvarint64(stream, v)
+		case 1:
+			stream = PutVarint64(stream, int64(v)*int64(1-2*(i%2)))
+		default:
+			stream = PutVarfloat64(stream, float64(v%9)+rng.Float64()*float64(i%2))
+		}
+	}
+	for end := 0; end <= len(stream); end++ {
+		b := stream[:end]
+		r := NewReader(b)
+		off := 0
+		for i := 0; ; i++ {
+			var got, want uint64
+			var err, wantErr error
+			var n int
+			switch i % 3 {
+			case 0:
+				got, err = r.Uvarint()
+				want, n, wantErr = Uvarint64(b[off:])
+			case 1:
+				var g, w int64
+				g, err = r.Varint()
+				w, n, wantErr = Varint64(b[off:])
+				got, want = uint64(g), uint64(w)
+			default:
+				var g, w float64
+				g, err = r.Varfloat64()
+				w, n, wantErr = Varfloat64(b[off:])
+				got, want = math.Float64bits(g), math.Float64bits(w)
+			}
+			if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
+				t.Fatalf("prefix %d, value %d: error %v, checked decoder %v", end, i, err, wantErr)
+			}
+			if err != nil {
+				break
+			}
+			off += n
+			if got != want || r.Remaining() != len(b)-off {
+				t.Fatalf("prefix %d, value %d: read %x leaving %d, checked decoder %x leaving %d",
+					end, i, got, r.Remaining(), want, len(b)-off)
+			}
+			if r.Remaining() == 0 {
+				break
+			}
+		}
 	}
 }

@@ -167,17 +167,15 @@ func (s *CollapsingLowestDenseStore) MergeWith(other Store) {
 	}
 	s.ensureBounded(newMin, newMax)
 	s.shiftLowInto(newMin)
-	for i := oMin; i <= oMax; i++ {
-		c := d.bins[i-d.offset]
-		if c <= 0 {
-			continue
+	// Buckets below the floor fold into it one by one, then the rest
+	// go array to array: the same additions, in the same order, as a
+	// per-bucket loop.
+	for i := oMin; i < min(newMin, oMax+1); i++ {
+		if c := d.bins[i-d.offset]; c > 0 {
+			s.addAt(newMin, c)
 		}
-		target := i
-		if target < newMin {
-			target = newMin
-		}
-		s.addAt(target, c)
 	}
+	s.mergeRun(d, max(oMin, newMin), oMax)
 }
 
 // Copy returns a deep copy of the store.
@@ -363,16 +361,13 @@ func (s *CollapsingHighestDenseStore) MergeWith(other Store) {
 	}
 	s.ensureBounded(newMin, newMax)
 	s.shiftHighInto(newMax)
-	for i := oMin; i <= oMax; i++ {
-		c := d.bins[i-d.offset]
-		if c <= 0 {
-			continue
+	// The mirror image: the in-range buckets go array to array, then
+	// those above the ceiling fold into it one by one.
+	s.mergeRun(d, oMin, min(oMax, newMax))
+	for i := max(oMin, newMax+1); i <= oMax; i++ {
+		if c := d.bins[i-d.offset]; c > 0 {
+			s.addAt(newMax, c)
 		}
-		target := i
-		if target > newMax {
-			target = newMax
-		}
-		s.addAt(target, c)
 	}
 }
 

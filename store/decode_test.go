@@ -175,3 +175,59 @@ func FuzzStoreDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeBinListPoolBounded: a payload declaring as many bins as its
+// size allows, ~Remaining/2 of two-byte bins, well past maxPooledBins,
+// decodes, and the list it grew is dropped instead of pooled; an
+// ordinary payload's list is pooled for the next decode.
+func TestDecodeBinListPoolBounded(t *testing.T) {
+	const n = 4 * maxPooledBins
+	w := encoding.NewWriter(2*n + 8)
+	w.Byte(typeDense)
+	w.Uvarint(n)
+	for i := 0; i < n; i++ {
+		w.Varint(1)     // one byte
+		w.Varfloat64(2) // one byte
+	}
+	data := w.Bytes()
+	r := encoding.NewReader(data[1:])
+	if k, _ := r.Uvarint(); k != uint64(r.Remaining()/2) {
+		t.Fatalf("payload declares %d bins for %d bytes, want Remaining/2", k, r.Remaining())
+	}
+	// pooledCaps drains a few lists from the pool, reports the largest
+	// capacity, and puts them back.
+	pooledCaps := func() int {
+		largest := 0
+		var lists []*[]decodedBin
+		for i := 0; i < 4; i++ {
+			l := binLists.Get().(*[]decodedBin)
+			largest = max(largest, cap(*l))
+			lists = append(lists, l)
+		}
+		for _, l := range lists {
+			binLists.Put(l)
+		}
+		return largest
+	}
+	s, err := Decode(encoding.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumBins() != n || s.TotalCount() != 2*n {
+		t.Fatalf("decoded %d bins, count %v; want %d, %d", s.NumBins(), s.TotalCount(), n, 2*n)
+	}
+	if c := pooledCaps(); c > maxPooledBins {
+		t.Errorf("pool kept a list of %d bins, cap is %d", c, maxPooledBins)
+	}
+
+	ordinary := encodeRawBins(typeDense, 0, []int64{1, 2, 3}, []float64{1, 1, 1})
+	// Several decodes: the race detector's sync.Pool drops some Puts.
+	for i := 0; i < 20; i++ {
+		if _, err := Decode(encoding.NewReader(ordinary)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := pooledCaps(); c == 0 {
+		t.Errorf("an ordinary decode pooled no bin list")
+	}
+}

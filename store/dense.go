@@ -57,6 +57,57 @@ func (d *denseBins) addAt(index int, count float64) {
 	}
 }
 
+// addRun adds src[k] to the bucket at index+k for every positive src[k],
+// in ascending k; every such bucket must already be within the allocated
+// array range. It is addAt unrolled over a run, with the array window,
+// the total count and the range hints held in locals, and it leaves
+// exactly what calling addAt on each positive count in turn would:
+// the same bins, the same TotalCount bits (the total accumulates
+// (old+c)−old, not c) and the same range hints. src may alias the
+// store's own array at the same positions (a store merged into itself).
+func (d *denseBins) addRun(index int, src []float64) {
+	dst := d.bins[index-d.offset:][:len(src)]
+	total, lo, hi := d.count, d.minIdx, d.maxIdx
+	for k, c := range src {
+		if !(c > 0) {
+			continue
+		}
+		old := dst[k]
+		updated := old + c
+		if updated < 0 {
+			updated = 0
+		}
+		dst[k] = updated
+		total += updated - old
+		if total <= 0 {
+			total = 0
+		}
+		if updated > 0 {
+			i := index + k
+			if old <= 0 && total == updated {
+				lo, hi = i, i
+				continue
+			}
+			if i < lo {
+				lo = i
+			}
+			if i > hi {
+				hi = i
+			}
+		}
+	}
+	d.count, d.minIdx, d.maxIdx = total, lo, hi
+}
+
+// mergeRun adds the source's buckets in [lo, hi], which must be within
+// the allocated array range, with addRun.
+func (d *denseBins) mergeRun(src *denseBins, lo, hi int) {
+	if lo > hi {
+		return
+	}
+	d.addRun(lo, src.bins[lo-src.offset:hi-src.offset+1])
+}
+
 // ensureRange grows the backing array so that every index in
 // [newMin, newMax] is addressable. It never shrinks or collapses.
 func (d *denseBins) ensureRange(newMin, newMax int) {
@@ -334,6 +385,26 @@ func (s *DenseStore) KeyAtRankDescending(rank float64) (int, error) {
 // ForEach visits non-empty buckets in ascending index order.
 func (s *DenseStore) ForEach(f func(index int, count float64) bool) { s.forEach(f) }
 
+// AddRun adds counts[k] to the bucket at index+k for every positive
+// counts[k], in ascending k, leaving the same bins and total count as
+// AddWithCount on each in turn would. It makes the run's positive span
+// addressable in one step and then adds the counts array to array, so
+// a decoder holding a contiguous run of counts fills the store without
+// a call per bucket.
+func (s *DenseStore) AddRun(index int, counts []float64) {
+	for len(counts) > 0 && !(counts[0] > 0) {
+		counts, index = counts[1:], index+1
+	}
+	for len(counts) > 0 && !(counts[len(counts)-1] > 0) {
+		counts = counts[:len(counts)-1]
+	}
+	if len(counts) == 0 {
+		return
+	}
+	s.ensureRange(index, index+len(counts)-1)
+	s.addRun(index, counts)
+}
+
 // MergeWith adds every bucket of other into this store. Merges from
 // dense-backed stores run directly over the source array.
 func (s *DenseStore) MergeWith(other Store) {
@@ -348,11 +419,7 @@ func (s *DenseStore) MergeWith(other Store) {
 	oMin, _ := d.minIndex()
 	oMax, _ := d.maxIndex()
 	s.ensureRange(oMin, oMax)
-	for i := oMin; i <= oMax; i++ {
-		if c := d.bins[i-d.offset]; c > 0 {
-			s.addAt(i, c)
-		}
-	}
+	s.mergeRun(d, oMin, oMax)
 }
 
 // Copy returns a deep copy of the store.

@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/ddsketch-go/ddsketch/encoding"
 )
@@ -222,13 +224,37 @@ func encodeBins(w *encoding.Writer, s Store) {
 	})
 }
 
-// decodeBins reads a bucket list written by encodeBins into s. It walks
-// the list twice: first on a copy of the reader, validating every bin
-// and finding the index range, then on r itself to fill the store. The
-// store is sized once for that range in between, so corrupted or
-// hostile input fails with ErrInvalidBins before any bin array is
-// allocated (see the maxDecoded* limits above), and valid input never
-// regrows the array bin by bin.
+// decodedBin is one checked bucket of a bin list being decoded.
+type decodedBin struct {
+	index int
+	count float64
+}
+
+// maxPooledBins caps the bin lists decodeBins recycles through binLists.
+// A list that grew beyond it, for a store far larger than any sketch
+// bounded by a bin limit, is dropped instead of pooled, so one huge or
+// hostile payload does not pin its list for the life of the process.
+const maxPooledBins = 1 << 14
+
+var binLists = sync.Pool{New: func() any { return new([]decodedBin) }}
+
+// putBins hands a bin list back for reuse, or drops it when it outgrew
+// maxPooledBins.
+func putBins(bins *[]decodedBin) {
+	if cap(*bins) > maxPooledBins {
+		return
+	}
+	*bins = (*bins)[:0]
+	binLists.Put(bins)
+}
+
+// decodeBins reads a bucket list written by encodeBins into s. It reads
+// each bin once, checking it and collecting it in a pooled list while
+// it tracks the index range; only then is the store sized, once, for
+// that range, and filled from the list. So corrupted or hostile input
+// fails with ErrInvalidBins before any bin array is allocated (see the
+// maxDecoded* limits above), and valid input never regrows the array
+// bin by bin.
 func decodeBins(r *encoding.Reader, s Store) error {
 	n, err := r.Uvarint()
 	if err != nil {
@@ -242,35 +268,25 @@ func decodeBins(r *encoding.Reader, s Store) error {
 	if n == 0 {
 		return nil
 	}
-	scan := *r
-	minIndex, maxIndex, err := walkBins(&scan, n, func(int, float64) {})
-	if err != nil {
-		return err
-	}
-	Reserve(s, minIndex, maxIndex)
-	_, _, err = walkBins(r, n, s.AddWithCount)
-	return err
-}
-
-// walkBins reads n (index delta, count) pairs, checks each bin, passes
-// it to add, and returns the range of the indexes read.
-func walkBins(r *encoding.Reader, n uint64, add func(index int, count float64)) (minIndex, maxIndex int, err error) {
+	list := binLists.Get().(*[]decodedBin)
+	bins := slices.Grow((*list)[:0], int(min(n, maxPooledBins)))
+	defer func() { *list = bins; putBins(list) }()
 	var index, lo, hi int64
 	for i := uint64(0); i < n; i++ {
 		delta, err := r.Varint()
 		if err != nil {
-			return 0, 0, fmt.Errorf("store: decoding bin %d index: %w", i, err)
+			return fmt.Errorf("store: decoding bin %d index: %w", i, err)
 		}
 		count, err := r.Varfloat64()
 		if err != nil {
-			return 0, 0, fmt.Errorf("store: decoding bin %d count: %w", i, err)
+			return fmt.Errorf("store: decoding bin %d count: %w", i, err)
 		}
 		index += delta
 		// The identity check also rejects indexes a 32-bit int would
 		// silently truncate, which would otherwise defeat the span bound.
 		if index > maxDecodedIndexMagnitude || index < -maxDecodedIndexMagnitude ||
 			index != int64(int(index)) {
-			return 0, 0, fmt.Errorf("%w: bucket index %d out of range", ErrInvalidBins, index)
+			return fmt.Errorf("%w: bucket index %d out of range", ErrInvalidBins, index)
 		}
 		if i == 0 {
 			lo, hi = index, index
@@ -280,14 +296,23 @@ func walkBins(r *encoding.Reader, n uint64, add func(index int, count float64)) 
 			hi = index
 		}
 		if hi-lo > maxDecodedIndexSpan {
-			return 0, 0, fmt.Errorf("%w: index span [%d, %d] too wide", ErrInvalidBins, lo, hi)
+			return fmt.Errorf("%w: index span [%d, %d] too wide", ErrInvalidBins, lo, hi)
 		}
 		if math.IsNaN(count) || math.IsInf(count, 0) || count <= 0 {
-			return 0, 0, fmt.Errorf("%w: bin %d count %v", ErrInvalidBins, i, count)
+			return fmt.Errorf("%w: bin %d count %v", ErrInvalidBins, i, count)
 		}
-		add(int(index), count)
+		bins = append(bins, decodedBin{int(index), count})
 	}
-	return int(lo), int(hi), nil
+	if d := reserve(s, int(lo), int(hi)); d != nil {
+		for _, b := range bins {
+			d.addAt(b.index, b.count)
+		}
+		return nil
+	}
+	for _, b := range bins {
+		s.AddWithCount(b.index, b.count)
+	}
+	return nil
 }
 
 // Reserve sizes a dense-backed store so that every index in
@@ -298,22 +323,32 @@ func walkBins(r *encoding.Reader, n uint64, add func(index int, count float64)) 
 // limit; a wider range collapses as it fills, within the bounded array
 // the store keeps anyway. Other store types are left as they are. The
 // store's contents do not change.
-func Reserve(s Store, minIndex, maxIndex int) {
+func Reserve(s Store, minIndex, maxIndex int) { reserve(s, minIndex, maxIndex) }
+
+// reserve is Reserve, returning the store's dense bins when it sized
+// them for [minIndex, maxIndex]. Adding a positive count to an index in
+// that range is then addAt alone: AddWithCount has no growth or
+// collapse left to apply.
+func reserve(s Store, minIndex, maxIndex int) *denseBins {
 	if minIndex > maxIndex {
-		return
+		return nil
 	}
 	switch t := s.(type) {
 	case *DenseStore:
 		t.ensureRange(minIndex, maxIndex)
+		return &t.denseBins
 	case *CollapsingLowestDenseStore:
 		if t.spanWith(minIndex, maxIndex) <= t.maxBins {
 			t.ensureBounded(minIndex, maxIndex)
+			return &t.denseBins
 		}
 	case *CollapsingHighestDenseStore:
 		if t.spanWith(minIndex, maxIndex) <= t.maxBins {
 			t.ensureBounded(minIndex, maxIndex)
+			return &t.denseBins
 		}
 	}
+	return nil
 }
 
 // FoldPairwise re-indexes every bucket of s from index i to ⌈i/2⌉,
